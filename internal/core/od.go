@@ -235,16 +235,10 @@ func (r *Relation) SatisfiesAll(ods []OD) (bool, *Violation, error) {
 
 // OrderCompatible reports whether r ⊨ X ~ Y, i.e. r satisfies XY ↔ YX.
 func (r *Relation) OrderCompatible(x, y List) (bool, *Violation, error) {
-	return r.SatisfiesAll2(OrderCompat(x, y))
+	return r.SatisfiesAll(OrderCompat(x, y))
 }
 
 // Equivalent reports whether r ⊨ X ↔ Y.
 func (r *Relation) Equivalent(x, y List) (bool, *Violation, error) {
-	return r.SatisfiesAll2(Equivalence(x, y))
-}
-
-// SatisfiesAll2 is SatisfiesAll for the two-element slices produced by
-// Equivalence and OrderCompat; it exists only to keep call sites readable.
-func (r *Relation) SatisfiesAll2(ods []OD) (bool, *Violation, error) {
-	return r.SatisfiesAll(ods)
+	return r.SatisfiesAll(Equivalence(x, y))
 }

@@ -1,7 +1,6 @@
 package fd
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -133,37 +132,16 @@ func sortFDs(fds []FD) {
 }
 
 // Satisfies reports whether relation r satisfies the FD, returning a witness
-// pair of row indices when it does not.
+// pair of row indices when it does not. By Theorem 13 the FD set(X) → set(Y)
+// holds exactly when the OD X ↦ XY does, and that OD can only fail by a
+// split: the witness rows tie on X and differ on Y.
 func Satisfies(r *core.Relation, f FD) (bool, [2]int, error) {
 	lhs := f.LHS.Sorted()
-	rhs := f.RHS.Sorted()
-	for _, a := range lhs.Concat(rhs) {
-		if !r.HasAttr(a) {
-			return false, [2]int{}, fmt.Errorf("fd: attribute %s not in schema %v", a, r.Attrs())
-		}
+	ok, v, err := r.Satisfies(core.NewOD(lhs, lhs.Concat(f.RHS.Sorted())))
+	if err != nil || ok {
+		return ok, [2]int{}, err
 	}
-	idx, err := r.SortedIndexOn(lhs)
-	if err != nil {
-		return false, [2]int{}, err
-	}
-	for k := 0; k+1 < len(idx); k++ {
-		s, t := idx[k], idx[k+1]
-		eqL, err := r.EqOn(s, t, lhs)
-		if err != nil {
-			return false, [2]int{}, err
-		}
-		if !eqL {
-			continue
-		}
-		eqR, err := r.EqOn(s, t, rhs)
-		if err != nil {
-			return false, [2]int{}, err
-		}
-		if !eqR {
-			return false, [2]int{s, t}, nil
-		}
-	}
-	return true, [2]int{}, nil
+	return false, [2]int{v.S, v.T}, nil
 }
 
 // String renders a set of FDs.

@@ -176,26 +176,59 @@ func TestSatisfies(t *testing.T) {
 	}
 }
 
-// TestFDODCorrespondence is Theorem 13 checked semantically: a relation
-// satisfies FD set(X) → set(Y) iff it satisfies the OD X ↦ XY, for all list
-// orderings.
+// fdHoldsPairwise decides r ⊨ f straight from the definition of an FD: every
+// two rows equal on f.LHS are equal on f.RHS. It shares no code with
+// Satisfies, which checks the OD X ↦ XY.
+func fdHoldsPairwise(t *testing.T, r *core.Relation, f FD) bool {
+	t.Helper()
+	lhs, rhs := f.LHS.Sorted(), f.RHS.Sorted()
+	for i := 0; i < r.Len(); i++ {
+		for j := i + 1; j < r.Len(); j++ {
+			if rowsEqualOn(t, r, i, j, lhs) && !rowsEqualOn(t, r, i, j, rhs) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func rowsEqualOn(t *testing.T, r *core.Relation, i, j int, x core.List) bool {
+	t.Helper()
+	for _, a := range x {
+		vi, err := r.Value(i, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vj, err := r.Value(j, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !vi.Equal(vj) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestFDODCorrespondence is Theorem 13 checked semantically: Satisfies
+// decides the FD set(X) → set(Y) through the OD X ↦ XY, so it must agree
+// with the pairwise FD definition, and every witness
+// must be two rows equal on X and different on Y.
 func TestFDODCorrespondence(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	universe := L("A", "B", "C")
 	for i := 0; i < 300; i++ {
 		r := core.RandRelation(rng, universe, 6, 2)
-		x := core.RandList(rng, universe, 2)
-		y := core.RandList(rng, universe, 2)
-		fdHolds, _, err := Satisfies(r, New(x, y))
+		f := New(core.RandList(rng, universe, 2), core.RandList(rng, universe, 2))
+		holds, w, err := Satisfies(r, f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		odHolds, _, err := r.Satisfies(core.NewOD(x, x.Concat(y)))
-		if err != nil {
-			t.Fatal(err)
+		if want := fdHoldsPairwise(t, r, f); holds != want {
+			t.Fatalf("Satisfies(%s) = %v, pairwise definition %v on\n%s", f, holds, want, r)
 		}
-		if fdHolds != odHolds {
-			t.Fatalf("Theorem 13 violated for X=%v Y=%v on\n%s", x, y, r)
+		if !holds && (!rowsEqualOn(t, r, w[0], w[1], f.LHS.Sorted()) || rowsEqualOn(t, r, w[0], w[1], f.RHS.Sorted())) {
+			t.Fatalf("witness rows %v do not falsify %s on\n%s", w, f, r)
 		}
 	}
 }

@@ -74,6 +74,7 @@ var DefaultCtxFlow = CtxFlowConfig{
 		"odlib/internal/catalog.Catalog.ImpliesAllWitness":  true,
 		"odlib/internal/catalog.Catalog.ProveEach":          true,
 		"odlib/internal/catalog.Catalog.ReduceOrderStamped": true,
+		"odlib/internal/polar.Prover.Implies":               true,
 		"odlib/internal/prover.Prover.Implies":              true,
 		"odlib/internal/prover.Prover.ImpliesWitness":       true,
 		"odlib/internal/prover.Prover.ImpliesAll":           true,

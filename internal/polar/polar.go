@@ -2,6 +2,7 @@ package polar
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"odlib/internal/core"
@@ -162,67 +163,55 @@ func (od OD) String() string { return od.LHS.String() + " -> " + od.RHS.String()
 // flipped dependency holds exactly when the original does.
 func (od OD) Flip() OD { return OD{LHS: od.LHS.Flip(), RHS: od.RHS.Flip()} }
 
-// CompareOn lexicographically compares rows i and j of r along the
-// polarized list: each attribute's comparison is multiplied by its
-// direction.
-func CompareOn(r *core.Relation, i, j int, l List) (int, error) {
-	for _, a := range l {
-		c, err := r.CompareOn(i, j, core.List{a.Name})
-		if err != nil {
-			return 0, err
-		}
-		c *= int(a.Dir)
-		if c != 0 {
-			return c, nil
-		}
-	}
-	return 0, nil
-}
-
-// Satisfies checks r ⊨ od by sorting on the polarized left side and
-// scanning adjacent pairs, exactly as in the unpolarized case.
+// Satisfies checks r ⊨ od. It copies the mentioned columns as integer
+// ranks — order-preserving, negated for descending attributes — so that the
+// polarized comparison becomes the plain one, and runs core's sort-and-scan
+// check on the copy.
 func Satisfies(r *core.Relation, od OD) (bool, error) {
+	var cols List // the distinct direction-annotated attributes; cols[i] becomes column "i"
+	pos := make(map[Attr]int)
 	for _, a := range od.LHS.Concat(od.RHS) {
 		if !r.HasAttr(a.Name) {
 			return false, fmt.Errorf("polar: attribute %s not in schema %v", a.Name, r.Attrs())
 		}
-	}
-	idx := make([]int, r.Len())
-	for i := range idx {
-		idx[i] = i
-	}
-	// Insertion sort on the polarized comparison: relation sizes in
-	// constraint checking are modest and this avoids threading errors
-	// through sort.Slice.
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0; j-- {
-			c, err := CompareOn(r, idx[j], idx[j-1], od.LHS)
-			if err != nil {
-				return false, err
-			}
-			if c >= 0 {
-				break
-			}
-			idx[j], idx[j-1] = idx[j-1], idx[j]
+		if _, ok := pos[a]; !ok {
+			pos[a] = len(cols)
+			cols = append(cols, a)
 		}
 	}
-	for k := 0; k+1 < len(idx); k++ {
-		cx, err := CompareOn(r, idx[k], idx[k+1], od.LHS)
+	rename := func(l List) core.List {
+		out := make(core.List, len(l))
+		for i, a := range l {
+			out[i] = core.Attribute(strconv.Itoa(pos[a]))
+		}
+		return out
+	}
+	ranks := make([][]int64, r.Len())
+	for i := range ranks {
+		ranks[i] = make([]int64, len(cols))
+	}
+	for c, a := range cols {
+		x := core.List{a.Name}
+		idx, err := r.SortedIndexOn(x)
 		if err != nil {
 			return false, err
 		}
-		cy, err := CompareOn(r, idx[k], idx[k+1], od.RHS)
-		if err != nil {
-			return false, err
-		}
-		if cx == 0 && cy != 0 {
-			return false, nil // split
-		}
-		if cx < 0 && cy > 0 {
-			return false, nil // swap
+		var rank int64
+		for k := 1; k < len(idx); k++ {
+			if cmp, _ := r.CompareOn(idx[k-1], idx[k], x); cmp != 0 {
+				rank++
+			}
+			ranks[idx[k]][c] = rank * int64(a.Dir)
 		}
 	}
-	return true, nil
+	rel := core.MustRelation(rename(cols))
+	for _, row := range ranks {
+		if err := rel.AddIntRow(row...); err != nil {
+			return false, err
+		}
+	}
+	ok, _, err := rel.Satisfies(core.NewOD(rename(od.LHS), rename(od.RHS)))
+	return ok, err
 }
 
 // ParseList parses "[A, -B]" (brackets optional): "-" marks descending.

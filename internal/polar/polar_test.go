@@ -1,6 +1,8 @@
 package polar
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -130,35 +132,45 @@ func TestNegationDuality(t *testing.T) {
 }
 
 func TestProverBasics(t *testing.T) {
-	m := []OD{
+	p := NewProver([]OD{
 		{L("A"), L("-B")},
 		{L("-B"), L("C")},
-	}
-	p := NewProver(m)
+	})
+	// [A] ↦ [B] and [A] ↦ [-B] together force B constant, which the FD
+	// projection A → B cannot see: these rows fail if the polarized search
+	// ever takes the plain prover's FD split shortcut.
+	mirror := NewProver([]OD{
+		{L("A"), L("B")},
+		{L("A"), L("-B")},
+	})
 	cases := []struct {
+		p    *Prover
 		od   string
 		want bool
 	}{
-		{"[A] -> [C]", true},         // transitivity through the flipped middle
-		{"[A] -> [-B, C]", true},     // union
-		{"[A, -B] -> [A]", true},     // reflexivity
-		{"[A] -> [B]", false},        // wrong polarity
-		{"[C] -> [A]", false},        // wrong direction
-		{"[-A] -> [B]", true},        // flip of A ↦ -B
-		{"[D, A] -> [D, C]", true},   // prefix
-		{"[-D, A] -> [-D, C]", true}, // polarized prefix
+		{p, "[A] -> [C]", true},         // transitivity through the flipped middle
+		{p, "[A] -> [-B, C]", true},     // union
+		{p, "[A, -B] -> [A]", true},     // reflexivity
+		{p, "[A] -> [B]", false},        // wrong polarity
+		{p, "[C] -> [A]", false},        // wrong direction
+		{p, "[-A] -> [B]", true},        // flip of A ↦ -B
+		{p, "[D, A] -> [D, C]", true},   // prefix
+		{p, "[-D, A] -> [-D, C]", true}, // polarized prefix
+		{mirror, "[] -> [B]", true},     // B is constant
+		{mirror, "[C] -> [B]", true},    // a constant is ordered by anything
+		{mirror, "[C] -> [A]", false},   // A is unconstrained
 	}
 	for _, tc := range cases {
 		od, err := ParseOD(tc.od)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := p.Implies(od)
+		got, err := tc.p.Implies(od)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != tc.want {
-			t.Errorf("Implies(%s) = %v, want %v", tc.od, got, tc.want)
+			t.Errorf("Implies(%s) under %v = %v, want %v", tc.od, tc.p.ods, got, tc.want)
 		}
 	}
 }
@@ -267,6 +279,25 @@ func TestReduceOrderPolarized(t *testing.T) {
 	}
 }
 
+// TestProverCancellation: a cancelled search returns the context's error
+// and leaves no verdict behind.
+func TestProverCancellation(t *testing.T) {
+	var wide List
+	for i := 0; i < 10; i++ {
+		wide = append(wide, A(string(rune('A'+i))))
+	}
+	od := NewOD(wide, wide.Prefix(1))
+	p := NewProver(nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := p.ImpliesCtx(ctx, od); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled search: err = %v, want context.Canceled", err)
+	}
+	if ok, err := p.Implies(od); err != nil || !ok {
+		t.Fatalf("after cancellation: ok=%v err=%v, want implied", ok, err)
+	}
+}
+
 func TestProverGuard(t *testing.T) {
 	var big List
 	for i := 0; i < DefaultMaxAttrs+1; i++ {
@@ -275,5 +306,129 @@ func TestProverGuard(t *testing.T) {
 	p := NewProver(nil)
 	if _, err := p.Implies(NewOD(big, big.Prefix(1))); err == nil {
 		t.Error("attribute guard must trigger")
+	}
+}
+
+// satisfiesPairwise decides r ⊨ od straight from Definition 4, with each
+// attribute's comparison multiplied by its direction: every ordered pair of
+// rows s ≼X t must have s ≼Y t. It shares no code with Satisfies.
+func satisfiesPairwise(t *testing.T, r *core.Relation, od OD) bool {
+	t.Helper()
+	cmp := func(i, j int, l List) int {
+		for _, a := range l {
+			vi, err := r.Value(i, a.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vj, err := r.Value(j, a.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c := vi.Compare(vj) * int(a.Dir); c != 0 {
+				return c
+			}
+		}
+		return 0
+	}
+	for i := 0; i < r.Len(); i++ {
+		for j := 0; j < r.Len(); j++ {
+			if cmp(i, j, od.LHS) <= 0 && cmp(i, j, od.RHS) > 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// randPolarList draws a list of up to maxLen attributes from universe, each
+// with a random direction; repeats (also with opposite directions) occur.
+func randPolarList(rng *rand.Rand, universe core.List, maxLen int) List {
+	out := FromPlain(core.RandList(rng, universe, maxLen))
+	for i := range out {
+		if rng.Intn(2) == 0 {
+			out[i] = out[i].Flip()
+		}
+	}
+	return out
+}
+
+// TestSatisfiesAgreesWithPairwise checks the rank-copy satisfaction check
+// against the pairwise oracle on random relations with many ties, mixed
+// directions and mixed value kinds (nulls, ints, floats, strings).
+func TestSatisfiesAgreesWithPairwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	universe := core.L("A", "B", "C", "D")
+	values := []core.Value{core.Null(), core.Int(0), core.Int(1), core.Float(0.5), core.Float(1), core.Str("a"), core.Str("b")}
+	for i := 0; i < 500; i++ {
+		r := core.MustRelation(universe)
+		for k := rng.Intn(9); k > 0; k-- {
+			row := make([]core.Value, len(universe))
+			for c := range row {
+				row[c] = values[rng.Intn(1+rng.Intn(len(values)))]
+			}
+			if err := r.AddRow(row...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		od := NewOD(randPolarList(rng, universe, 3), randPolarList(rng, universe, 3))
+		got, err := Satisfies(r, od)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := satisfiesPairwise(t, r, od); got != want {
+			t.Fatalf("Satisfies(%s) = %v, pairwise oracle %v on\n%s", od, got, want, r)
+		}
+	}
+}
+
+// impliesBruteForce decides m ⊨ q over the universe by trying every two-row
+// relation up to order isomorphism — all 3^n sign patterns, with no
+// negation-invariance halving — against the pairwise oracle.
+func impliesBruteForce(t *testing.T, universe core.List, m []OD, q OD) bool {
+	t.Helper()
+	pat := core.MustPattern(universe)
+	signs := pat.Signs()
+	for {
+		r := pat.Relation()
+		holdsM := true
+		for _, c := range m {
+			holdsM = holdsM && satisfiesPairwise(t, r, c)
+		}
+		if holdsM && !satisfiesPairwise(t, r, q) {
+			return false
+		}
+		k := 0
+		for k < len(signs) && signs[k] == core.Greater {
+			signs[k] = core.Less
+			k++
+		}
+		if k == len(signs) {
+			return true
+		}
+		signs[k]++
+	}
+}
+
+// TestProverAgreesWithBruteForce checks polarized implication against the
+// brute-force oracle on random mixed-direction constraint sets.
+func TestProverAgreesWithBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for i := 0; i < 300; i++ {
+		universe := core.L("A", "B", "C", "D")[:3+rng.Intn(2)]
+		var m []OD
+		for j := rng.Intn(4); j > 0; j-- {
+			m = append(m, NewOD(randPolarList(rng, universe, 2), randPolarList(rng, universe, 2)))
+		}
+		p := NewProver(m)
+		for k := 0; k < 4; k++ {
+			q := NewOD(randPolarList(rng, universe, 2), randPolarList(rng, universe, 2))
+			got, err := p.Implies(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := impliesBruteForce(t, universe, m, q); got != want {
+				t.Fatalf("Implies(%s) under %v = %v, brute force %v", q, m, got, want)
+			}
+		}
 	}
 }

@@ -1,34 +1,38 @@
 package polar
 
 import (
+	"context"
 	"fmt"
 
 	"odlib/internal/core"
+	"odlib/internal/prover"
 )
 
 // Prover decides implication for polarized ODs. Two-tuple locality survives
 // polarization — a polarized OD still constrains pairs of tuples — so the
-// sign-pattern search of internal/prover carries over: a polarized list's
-// comparison on a pattern is the first attribute with a non-Equal sign,
-// multiplied by that attribute's direction.
+// sign-pattern search of internal/prover decides it: each attribute compiles
+// to a prover.Term whose direction is the attribute's polarity.
 type Prover struct {
-	ods      []OD
-	maxAttrs int
-	cache    map[string]bool
+	ods   []OD
+	cache map[string]bool
 }
 
-// DefaultMaxAttrs mirrors the unpolarized prover's guard.
-const DefaultMaxAttrs = 14
+// DefaultMaxAttrs is the unpolarized prover's attribute guard.
+const DefaultMaxAttrs = prover.DefaultMaxAttrs
 
 // NewProver builds a prover over the polarized constraint set.
 func NewProver(m []OD) *Prover {
 	ods := make([]OD, len(m))
 	copy(ods, m)
-	return &Prover{ods: ods, maxAttrs: DefaultMaxAttrs, cache: make(map[string]bool)}
+	return &Prover{ods: ods, cache: make(map[string]bool)}
 }
 
 // Implies reports whether the constraints logically imply od.
-func (p *Prover) Implies(od OD) (bool, error) {
+func (p *Prover) Implies(od OD) (bool, error) { return p.ImpliesCtx(context.Background(), od) }
+
+// ImpliesCtx is Implies honoring cancellation: when ctx is cancelled the
+// search aborts and the context's error is returned.
+func (p *Prover) ImpliesCtx(ctx context.Context, od OD) (bool, error) {
 	key := od.String()
 	if v, ok := p.cache[key]; ok {
 		return v, nil
@@ -46,90 +50,30 @@ func (p *Prover) Implies(od OD) (bool, error) {
 	collect(od.LHS)
 	collect(od.RHS)
 	universe := attrs.Sorted()
-	if len(universe) > p.maxAttrs {
+	if len(universe) > DefaultMaxAttrs {
 		return false, fmt.Errorf("polar: question mentions %d attributes, exceeding the limit of %d",
-			len(universe), p.maxAttrs)
+			len(universe), DefaultMaxAttrs)
 	}
-	pos := make(map[core.Attribute]int, len(universe))
-	for i, a := range universe {
-		pos[a] = i
-	}
-	compile := func(l List) []signedIdx {
-		out := make([]signedIdx, len(l))
-		for i, a := range l {
-			out[i] = signedIdx{idx: pos[a.Name], dir: int8(a.Dir)}
-		}
-		return out
-	}
-	var m []compiled
-	for _, c := range p.ods {
-		m = append(m, compiled{lhs: compile(c.LHS), rhs: compile(c.RHS)})
-	}
-	target := compiled{lhs: compile(od.LHS), rhs: compile(od.RHS)}
-	signs := make([]int8, len(universe))
-	implied := !search(signs, 0, false, m, target)
-	p.cache[key] = implied
-	return implied, nil
-}
-
-type signedIdx struct {
-	idx int
-	dir int8
-}
-
-type compiled struct {
-	lhs, rhs []signedIdx
-}
-
-func cmp(signs []int8, l []signedIdx) int8 {
-	for _, si := range l {
-		if s := signs[si.idx]; s != 0 {
-			return s * si.dir
-		}
-	}
-	return 0
-}
-
-func (c compiled) holds(signs []int8) bool {
-	cx := cmp(signs, c.lhs)
-	cy := cmp(signs, c.rhs)
-	if cx == 0 {
-		return cy == 0
-	}
-	return cy == 0 || cy == cx
-}
-
-// search mirrors internal/prover: enumerate sign assignments with the first
-// non-zero fixed negative (negation invariance), returning true when a
-// pattern satisfies m while falsifying the target.
-func search(signs []int8, k int, seen bool, m []compiled, target compiled) bool {
-	if k == len(signs) {
-		if target.holds(signs) {
-			return false
-		}
-		for _, c := range m {
-			if !c.holds(signs) {
-				return false
+	compile := func(c OD) prover.Compiled {
+		terms := func(l List) []prover.Term {
+			out := make([]prover.Term, len(l))
+			for i, a := range l {
+				out[i] = prover.Term{Idx: int32(universe.Index(a.Name)), Dir: core.Sign(a.Dir)}
 			}
+			return out
 		}
-		return true
+		return prover.Compiled{LHS: terms(c.LHS), RHS: terms(c.RHS)}
 	}
-	signs[k] = 0
-	if search(signs, k+1, seen, m, target) {
-		return true
+	m := make([]prover.Compiled, len(p.ods))
+	for i, c := range p.ods {
+		m[i] = compile(c)
 	}
-	signs[k] = -1
-	if search(signs, k+1, true, m, target) {
-		return true
+	w, err := prover.Counterexample(ctx, universe, m, compile(od))
+	if err != nil {
+		return false, err
 	}
-	if seen {
-		signs[k] = 1
-		if search(signs, k+1, true, m, target) {
-			return true
-		}
-	}
-	signs[k] = 0
-	return false
+	p.cache[key] = w == nil
+	return w == nil, nil
 }
 
 // ReduceOrder minimizes a polarized ORDER BY list under the constraints:

@@ -29,6 +29,17 @@
 // time; when it fails, the familiar two-row Ullman table is returned as the
 // counterexample without any search.
 //
+// The search runs on compiled ODs: each list element is a Term, an index into
+// the pattern's sign array plus the direction it is compared in. Plain ODs
+// compile every term to Greater (ascending). internal/polar compiles
+// descending attributes to Less and calls Counterexample, which runs the
+// bare search. The split shortcut and the lazy widening apply only to
+// ascending lists. The shortcut reasons through the FD projection
+// set(X) → set(Y), which misses what mixed directions force:
+// {[A] ↦ [B], [A] ↦ [-B]} makes B constant, yet A → B does not imply
+// ∅ → B. Widening validates candidates with core.Pattern.HoldsOD, which reads
+// every list ascending.
+//
 // Searches accept a context.Context and may be cancelled mid-enumeration;
 // with WithWorkers the sign-enumeration tree is split across a goroutine
 // pool that aborts wholesale on the first counterexample found.

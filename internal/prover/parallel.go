@@ -43,8 +43,8 @@ const stopCheckMask = 1<<10 - 1
 type searchState struct {
 	ctx     context.Context
 	stop    *atomic.Bool // pool-wide abort; nil for sequential searches
-	cods    []compiledOD
-	target  compiledOD
+	cods    []Compiled
+	target  Compiled
 	nodes   uint64
 	err     error // context error when the abort came from cancellation
 	aborted bool
@@ -112,16 +112,44 @@ func (s *searchState) search(signs []core.Sign, k int, seenLess bool) bool {
 // while falsifying target, or reports that none exists. It dispatches to the
 // parallel pool when the prover is configured for one and the universe is
 // large enough to pay for it. The returned node count covers all workers.
-func (p *Prover) runSearch(ctx context.Context, pat *core.Pattern, cods []compiledOD, target compiledOD) (*core.Pattern, uint64, error) {
-	signs := pat.Signs()
-	if p.workers > 1 && len(signs) >= parallelMinAttrs {
+func (p *Prover) runSearch(ctx context.Context, pat *core.Pattern, cods []Compiled, target Compiled) (*core.Pattern, uint64, error) {
+	if p.workers > 1 && len(pat.Signs()) >= parallelMinAttrs {
 		return p.searchParallel(ctx, pat, cods, target)
 	}
-	s := &searchState{ctx: ctx, cods: cods, target: target}
-	if s.search(signs, 0, false) {
-		return pat, s.nodes, nil
+	found, nodes, err := searchSequential(ctx, pat.Signs(), cods, target)
+	if !found {
+		pat = nil
 	}
-	return nil, s.nodes, s.err
+	return pat, nodes, err
+}
+
+// searchSequential is the single-goroutine enumeration. On success the
+// counterexample is left in signs.
+func searchSequential(ctx context.Context, signs []core.Sign, cods []Compiled, target Compiled) (bool, uint64, error) {
+	s := &searchState{ctx: ctx, cods: cods, target: target}
+	found := s.search(signs, 0, false)
+	return found, s.nodes, s.err
+}
+
+// Counterexample runs the sign-pattern search alone: it returns a pattern
+// over universe that satisfies every OD of m while falsifying target, or nil
+// when none exists (m ⊨ target). Term indexes refer to universe positions.
+//
+// Unlike Prover, it takes no FD split shortcut and does no lazy widening,
+// since both apply only to ascending lists (see the package doc). The caller
+// bounds the universe; the search is exponential in its size.
+func Counterexample(ctx context.Context, universe core.List, m []Compiled, target Compiled) (*core.Pattern, error) {
+	signs := make([]core.Sign, len(universe))
+	found, _, err := searchSequential(ctx, signs, m, target)
+	if !found {
+		return nil, err
+	}
+	w, err := core.NewPattern(universe)
+	if err != nil {
+		return nil, err
+	}
+	copy(w.Signs(), signs)
+	return w, nil
 }
 
 // prefixAssign is one subtree root: the first depth signs plus whether a
@@ -166,6 +194,27 @@ func enumeratePrefixes(n, workers int) []prefixAssign {
 	return out
 }
 
+// blockOf returns block i of the DFS-ordered prefix list cut into parts
+// contiguous blocks.
+func blockOf(prefixes []prefixAssign, i, parts int) []prefixAssign {
+	return prefixes[i*len(prefixes)/parts : (i+1)*len(prefixes)/parts]
+}
+
+// searchBlock exhausts the subtrees under each prefix of block in DFS order
+// and reports whether it found a counterexample, which it leaves in signs.
+func (s *searchState) searchBlock(signs []core.Sign, block []prefixAssign) bool {
+	for _, pre := range block {
+		copy(signs, pre.signs)
+		if s.search(signs, len(pre.signs), pre.seenLess) {
+			return !s.aborted
+		}
+		if s.aborted {
+			return false
+		}
+	}
+	return false
+}
+
 // searchParallel fans the enumeration out across prefix blocks. One block
 // always runs inline on the caller's goroutine; the rest go to spawned
 // workers — all of them when the prover is unpooled, however many the
@@ -173,7 +222,7 @@ func enumeratePrefixes(n, workers int) []prefixAssign {
 // counterexample publishes it and raises the stop flag; everyone else
 // unwinds within one poll interval. Context cancellation stops the pool the
 // same way, surfacing the context's error.
-func (p *Prover) searchParallel(ctx context.Context, pat *core.Pattern, cods []compiledOD, target compiledOD) (*core.Pattern, uint64, error) {
+func (p *Prover) searchParallel(ctx context.Context, pat *core.Pattern, cods []Compiled, target Compiled) (*core.Pattern, uint64, error) {
 	prefixes := enumeratePrefixes(len(pat.Signs()), p.workers)
 	want := p.workers
 	if want > len(prefixes) {
@@ -194,28 +243,19 @@ func (p *Prover) searchParallel(ctx context.Context, pat *core.Pattern, cods []c
 		ctxErr     error
 		wg         sync.WaitGroup
 	)
-	depth := len(prefixes[0].signs)
 	runBlock := func(block []prefixAssign) {
 		wpat := core.MustPattern(pat.Universe())
-		signs := wpat.Signs()
 		s := &searchState{ctx: ctx, cods: cods, target: target}
 		if parts > 1 {
 			s.stop = &stop
 		}
-		for _, pre := range block {
-			copy(signs[:depth], pre.signs)
-			if s.search(signs, depth, pre.seenLess) && !s.aborted {
-				mu.Lock()
-				if found == nil {
-					found = wpat
-				}
-				mu.Unlock()
-				stop.Store(true)
-				break
+		if s.searchBlock(wpat.Signs(), block) {
+			mu.Lock()
+			if found == nil {
+				found = wpat
 			}
-			if s.aborted {
-				break
-			}
+			mu.Unlock()
+			stop.Store(true)
 		}
 		totalNodes.Add(s.nodes)
 		if s.err != nil {
@@ -227,7 +267,7 @@ func (p *Prover) searchParallel(ctx context.Context, pat *core.Pattern, cods []c
 		}
 	}
 	for i := 0; i < parts-1; i++ {
-		block := prefixes[i*len(prefixes)/parts : (i+1)*len(prefixes)/parts]
+		block := blockOf(prefixes, i, parts)
 		if len(block) == 0 {
 			continue
 		}
@@ -242,7 +282,7 @@ func (p *Prover) searchParallel(ctx context.Context, pat *core.Pattern, cods []c
 	// heavy subtrees DFS visits last are where deep refutations concentrate,
 	// so the inline share of the work is the share most likely to cancel
 	// everyone else early.
-	runBlock(prefixes[(parts-1)*len(prefixes)/parts:])
+	runBlock(blockOf(prefixes, parts-1, parts))
 	wg.Wait()
 	switch {
 	case found != nil:

@@ -2,6 +2,7 @@ package prover
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -112,31 +113,73 @@ func TestParallelMatchesSequentialRandomized(t *testing.T) {
 
 // TestParallelDeepSwap pins the workload the pool exists for: a refutation
 // whose counterexample sits in the Greater region. Both modes must refute
-// with valid witnesses, and the pool must visit far fewer nodes than the
-// sequential grind thanks to cancel-on-first-witness.
+// with valid witnesses. The pool's node cut has two sources: block placement,
+// which is deterministic, and the stop flag, whose effect depends on the
+// scheduler. The 2x bound is asserted on the first — the witness block
+// alone must reach its witness in under half the nodes sequential
+// enumeration needs over the same universe — and the stop path is checked
+// by a property that holds on any schedule: a cancelled pool unwinds within
+// one poll interval per block.
 func TestParallelDeepSwap(t *testing.T) {
+	const workers = 8
 	m, target := deepSwapInstance(8)
 
-	var seqC, parC Counters
-	seq := New(m, WithCounters(&seqC))
+	seq := New(m)
 	ok, w, err := seq.ImpliesWitness(target)
 	if err != nil || ok {
 		t.Fatalf("sequential: ok=%v err=%v, want refuted", ok, err)
 	}
 	checkWitness(t, m, target, w)
 
-	par := New(m, WithWorkers(8), WithCounters(&parC))
+	par := New(m, WithWorkers(workers))
 	ok, w, err = par.ImpliesWitness(target)
 	if err != nil || ok {
 		t.Fatalf("parallel: ok=%v err=%v, want refuted", ok, err)
 	}
 	checkWitness(t, m, target, w)
 
-	seqNodes, parNodes := seqC.Nodes.Load(), parC.Nodes.Load()
-	if parNodes*2 >= seqNodes {
-		t.Errorf("parallel pool visited %d nodes, sequential %d — expected at least a 2x cut from early cancellation",
-			parNodes, seqNodes)
+	// The search over every OD of M: the round in which decide finds its
+	// counterexample once widening has drawn the whole instance in.
+	pat := core.MustPattern(core.AttrsOf(m).Union(target.Attrs()).Sorted())
+	cods := make([]Compiled, len(m))
+	for i, od := range m {
+		cods[i] = compileOD(od, pat)
 	}
+	tgt := compileOD(target, pat)
+	ctx := context.Background()
+	whole := &searchState{ctx: ctx, cods: cods, target: tgt}
+	if !whole.search(pat.Clone().Signs(), 0, false) {
+		t.Fatal("sequential search over all of M found no counterexample")
+	}
+
+	prefixes := enumeratePrefixes(len(pat.Signs()), workers)
+	parts := min(workers, len(prefixes))
+	witnessNodes := uint64(0)
+	for i := 0; i < parts; i++ {
+		s := &searchState{ctx: ctx, cods: cods, target: tgt}
+		if s.searchBlock(pat.Clone().Signs(), blockOf(prefixes, i, parts)) &&
+			(witnessNodes == 0 || s.nodes < witnessNodes) {
+			witnessNodes = s.nodes
+		}
+	}
+	if witnessNodes == 0 {
+		t.Fatal("no prefix block found a counterexample")
+	}
+	if witnessNodes*2 >= whole.nodes {
+		t.Errorf("the witness block reaches its witness after %d nodes, sequential after %d — expected at least a 2x cut from block placement",
+			witnessNodes, whole.nodes)
+	}
+
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	found, nodes, err := par.searchParallel(cancelled, pat, cods, tgt)
+	if !errors.Is(err, context.Canceled) || found != nil {
+		t.Fatalf("cancelled pool: found=%v err=%v, want context.Canceled", found, err)
+	}
+	if limit := uint64(parts * (stopCheckMask + 1)); nodes > limit {
+		t.Errorf("cancelled pool visited %d nodes, more than one poll interval per block (%d)", nodes, limit)
+	}
+	t.Logf("witness block %d nodes, sequential %d, cancelled pool %d", witnessNodes, whole.nodes, nodes)
 }
 
 // TestLazyWideningAvoidsCascadeGuard is the regression the refactor exists

@@ -330,7 +330,7 @@ func (p *Prover) decide(ctx context.Context, od core.OD) (Verdict, error) {
 		// Swap half: exhaustive two-row pattern search against the working
 		// set — parallel across prefix-sharded subtrees when configured.
 		pat := core.MustPattern(attrs)
-		cods := make([]compiledOD, 0, len(working)+1)
+		cods := make([]Compiled, 0, len(working)+1)
 		for _, m := range working {
 			cods = append(cods, compileOD(m, pat))
 		}
@@ -430,37 +430,49 @@ func (p *Prover) EquivalentSets(other []core.OD) (bool, error) {
 	return q.ImpliesAll(p.ods)
 }
 
-// compiledOD holds an OD with both sides resolved to sign-array indexes, so
-// the inner search loop runs on plain slices.
-type compiledOD struct {
-	lhs, rhs []int
+// Term is one compiled list element: an index into the search's sign array
+// and the direction the attribute is compared in. A plain OD compiles every
+// term to Greater (ascending); internal/polar compiles descending attributes
+// to Less, which negates the attribute's sign.
+type Term struct {
+	Idx int32
+	Dir core.Sign
 }
 
-func compileOD(od core.OD, pat *core.Pattern) compiledOD {
-	idx := func(l core.List) []int {
-		out := make([]int, 0, len(l))
+// Compiled holds an OD with both sides resolved to Terms, so the inner
+// search loop runs on plain slices.
+type Compiled struct {
+	LHS, RHS []Term
+}
+
+func compileOD(od core.OD, pat *core.Pattern) Compiled {
+	terms := func(l core.List) []Term {
+		out := make([]Term, 0, len(l))
 		for _, a := range l {
-			out = append(out, pat.Universe().Index(a))
+			out = append(out, Term{Idx: int32(pat.Universe().Index(a)), Dir: core.Greater})
 		}
 		return out
 	}
-	return compiledOD{lhs: idx(od.LHS), rhs: idx(od.RHS)}
+	return Compiled{LHS: terms(od.LHS), RHS: terms(od.RHS)}
 }
 
-func cmpSigns(signs []core.Sign, idx []int) core.Sign {
-	for _, i := range idx {
-		if s := signs[i]; s != core.Equal {
-			return s
+// cmpSigns compares the pattern's two rows along a compiled list: the first
+// non-Equal sign, read in its term's direction. Indexing l[i], rather than
+// ranging over copies, keeps the Dir load out of the loop.
+func cmpSigns(signs []core.Sign, l []Term) core.Sign {
+	for i := range l {
+		if s := signs[l[i].Idx]; s != core.Equal {
+			return s * l[i].Dir
 		}
 	}
 	return core.Equal
 }
 
-func (c compiledOD) holds(signs []core.Sign) bool {
-	cx := cmpSigns(signs, c.lhs)
-	cy := cmpSigns(signs, c.rhs)
-	if cx == core.Equal {
-		return cy == core.Equal
-	}
-	return cy == core.Equal || cy == cx
+// holds reports whether the pattern satisfies the OD: the right side ties,
+// or it orders the rows the way the left side does (a tie on the left then
+// makes any non-Equal right side a split). Keep it this small: the search
+// leaf relies on holds being inlined.
+func (c Compiled) holds(signs []core.Sign) bool {
+	cy := cmpSigns(signs, c.RHS)
+	return cy == core.Equal || cy == cmpSigns(signs, c.LHS)
 }
