@@ -106,7 +106,7 @@ func SplitTable(m []core.OD, universe core.List) (*core.Relation, error) {
 	if err := checkUniverse(m, universe, DefaultMaxAttrs); err != nil {
 		return nil, err
 	}
-	fds := fd.FromODs(m)
+	fds := fd.Compile(fd.FromODs(m))
 	out := core.MustRelation(universe)
 	n := len(universe)
 	for mask := 0; mask < 1<<uint(n); mask++ {
@@ -116,7 +116,7 @@ func SplitTable(m []core.OD, universe core.List) (*core.Relation, error) {
 				w.Add(universe[i])
 			}
 		}
-		closure := fd.Closure(w, fds)
+		closure := fds.Closure(w)
 		block := core.MustRelation(universe)
 		row1 := make([]core.Value, n)
 		row2 := make([]core.Value, n)

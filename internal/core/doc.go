@@ -16,4 +16,16 @@
 // described by one comparison sign per attribute, which makes Pattern the
 // semantic ground truth used by the implication prover (internal/prover) and
 // the completeness constructions (internal/armstrong).
+//
+// Checking an OD against data is a sort plus an adjacent-pair scan. Both run
+// on rank codes, not Values: on first use a Relation encodes each column into
+// int32 codes numbering its distinct values in Value.Compare order. Sorting
+// by a list is then a stable radix sort (one counting pass per column, least
+// significant first), which yields exactly the order a stable comparison
+// sort gives, and the scan compares integers. Value.Compare is a total
+// preorder — ints and floats compare exactly, NaN equals NaN and sorts below
+// every number — so the codes are order-isomorphic to the values. The codes
+// belong to the relation and are dropped by AddRow. SatisfiesDirected reads
+// a descending attribute's codes in reverse, which is how mixed ASC/DESC
+// lists (internal/polar) are checked.
 package core

@@ -146,38 +146,62 @@ func (v *Violation) Error() string {
 // (otherwise a split); across the group boundary the Y-order must not
 // descend (otherwise a swap). Transitivity of the lexicographic preorder
 // makes the adjacent scan complete. It returns a witness when falsified.
+// Sort and scan both compare the columns' rank codes, not Values.
 func (r *Relation) Satisfies(od OD) (bool, *Violation, error) {
-	idx, err := r.SortedIndexOn(od.LHS)
+	lhs, err := r.ranks(od.LHS, nil)
 	if err != nil {
 		return false, nil, err
 	}
 	// Validate RHS attributes even for degenerate row counts.
-	for _, a := range od.RHS {
-		if !r.HasAttr(a) {
-			return false, nil, fmt.Errorf("core: attribute %s not in schema %v", a, r.attrs)
-		}
+	rhs, err := r.ranks(od.RHS, nil)
+	if err != nil {
+		return false, nil, err
 	}
+	kind, s, t := scanRanks(len(r.rows), lhs, rhs)
+	if kind == 0 {
+		return true, nil, nil
+	}
+	return false, &Violation{OD: od, Kind: kind, S: s, T: t}, nil
+}
+
+// SatisfiesDirected is Satisfies for lists whose attributes each carry a
+// sort direction, as in ORDER BY A ASC, B DESC: lhsDir[i] and rhsDir[i] are
+// Greater for an ascending and Less for a descending attribute. A descending
+// attribute compares its values in reverse, so with every direction Greater
+// it is Satisfies.
+func (r *Relation) SatisfiesDirected(lhs List, lhsDir []Sign, rhs List, rhsDir []Sign) (bool, error) {
+	x, err := r.ranks(lhs, lhsDir)
+	if err != nil {
+		return false, err
+	}
+	y, err := r.ranks(rhs, rhsDir)
+	if err != nil {
+		return false, err
+	}
+	kind, _, _ := scanRanks(len(r.rows), x, y)
+	return kind == 0, nil
+}
+
+// scanRanks sorts n rows by the lhs rank columns and scans adjacent pairs
+// for the first split or swap against the rhs columns, returning its kind
+// and rows S, T as Violation reports them, or kind 0 when there is none.
+func scanRanks(n int, lhs, rhs []*rankColumn) (ViolationKind, int, int) {
+	idx := radixSort(n, lhs)
 	for k := 0; k+1 < len(idx); k++ {
 		s, t := idx[k], idx[k+1]
-		cx, err := r.CompareOn(s, t, od.LHS)
-		if err != nil {
-			return false, nil, err
-		}
-		cy, err := r.CompareOn(s, t, od.RHS)
-		if err != nil {
-			return false, nil, err
-		}
+		cx := cmpRanks(lhs, s, t)
+		cy := cmpRanks(rhs, s, t)
 		switch {
 		case cx == 0 && cy != 0:
 			if cy > 0 {
 				s, t = t, s
 			}
-			return false, &Violation{OD: od, Kind: Split, S: s, T: t}, nil
+			return Split, s, t
 		case cx < 0 && cy > 0:
-			return false, &Violation{OD: od, Kind: Swap, S: s, T: t}, nil
+			return Swap, s, t
 		}
 	}
-	return true, nil, nil
+	return 0, 0, 0
 }
 
 // SatisfiesNaive checks r ⊨ X ↦ Y by comparing every pair of rows directly

@@ -29,10 +29,11 @@ type SortedPartition struct {
 // SortPartitionOn sorts the relation once by ≼x and materializes the
 // partition structure every RHS candidate over the context x can reuse.
 func (r *Relation) SortPartitionOn(x List) (*SortedPartition, error) {
-	idx, err := r.SortedIndexOn(x)
+	cols, err := r.ranks(x, nil)
 	if err != nil {
 		return nil, err
 	}
+	idx := radixSort(len(r.rows), cols)
 	p := &SortedPartition{Context: x.Clone(), Index: idx}
 	if len(idx) == 0 {
 		return p, nil
@@ -40,12 +41,8 @@ func (r *Relation) SortPartitionOn(x List) (*SortedPartition, error) {
 	p.Tie = make([]bool, len(idx)-1)
 	p.Groups = 1
 	for k := 0; k+1 < len(idx); k++ {
-		c, err := r.CompareOn(idx[k], idx[k+1], x)
-		if err != nil {
-			return nil, err
-		}
-		p.Tie[k] = c == 0
-		if c != 0 {
+		p.Tie[k] = cmpRanks(cols, idx[k], idx[k+1]) == 0
+		if !p.Tie[k] {
 			p.Groups++
 		}
 	}
@@ -60,17 +57,13 @@ func (r *Relation) SatisfiesWith(od OD, p *SortedPartition) (bool, *Violation, e
 	if !p.Context.Equal(od.LHS) {
 		return false, nil, fmt.Errorf("core: partition context %v does not match LHS %v", p.Context, od.LHS)
 	}
-	for _, a := range od.RHS {
-		if !r.HasAttr(a) {
-			return false, nil, fmt.Errorf("core: attribute %s not in schema %v", a, r.attrs)
-		}
+	rhs, err := r.ranks(od.RHS, nil)
+	if err != nil {
+		return false, nil, err
 	}
 	for k := 0; k+1 < len(p.Index); k++ {
 		s, t := p.Index[k], p.Index[k+1]
-		cy, err := r.CompareOn(s, t, od.RHS)
-		if err != nil {
-			return false, nil, err
-		}
+		cy := cmpRanks(rhs, s, t)
 		switch {
 		case p.Tie[k] && cy != 0:
 			if cy > 0 {

@@ -105,11 +105,12 @@ func (p *Pattern) Compare(x List) Sign {
 	return Equal
 }
 
-// HoldsOD reports whether the two-row relation satisfies X ↦ Y. The OD fails
-// only by split (rows tie on X but not on projection of Y — here: Compare(Y)
-// non-Equal while every Y attribute... the lexicographic comparison suffices
-// because a tie on X makes both directions of Definition 4 apply) or by swap
-// (strict X order opposite to strict Y order), per Theorem 15.
+// HoldsOD reports whether the two-row relation satisfies X ↦ Y. By Theorem
+// 15 the OD fails only by a split — the rows tie on X but not on Y — or by a
+// swap — the rows are strictly ordered on X and strictly the other way on Y.
+// Comparing each side lexicographically is enough: a tie on X makes
+// Definition 4 apply in both directions, so any non-Equal Compare(Y) is a
+// split.
 func (p *Pattern) HoldsOD(od OD) bool {
 	cx := p.Compare(od.LHS)
 	cy := p.Compare(od.RHS)

@@ -2,18 +2,27 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // Relation is a relation instance: a schema (an attribute list, fixing column
 // order) and a sequence of rows. The paper states its definitions over sets
 // of tuples but notes that multisets change nothing; Relation allows
 // duplicate rows.
+//
+// Sorting and satisfaction checks work on rank codes rather than on Values:
+// each column is encoded once, on first use, into order-preserving int32
+// codes (see rank). The codes live and die with the relation; AddRow drops
+// them.
 type Relation struct {
 	attrs List
 	pos   map[Attribute]int
 	rows  [][]Value
+
+	encodeMu sync.Mutex                   // serializes column encoding
+	codes    []atomic.Pointer[rankColumn] // per column; nil until encoded
 }
 
 // NewRelation creates an empty relation over the given schema. It returns an
@@ -26,7 +35,7 @@ func NewRelation(attrs List) (*Relation, error) {
 	for i, a := range attrs {
 		pos[a] = i
 	}
-	return &Relation{attrs: attrs.Clone(), pos: pos}, nil
+	return &Relation{attrs: attrs.Clone(), pos: pos, codes: make([]atomic.Pointer[rankColumn], len(attrs))}, nil
 }
 
 // MustRelation is NewRelation that panics on schema errors; it is intended
@@ -60,7 +69,9 @@ func (r *Relation) Col(a Attribute) (int, error) {
 	return i, nil
 }
 
-// AddRow appends a row. The number of values must match the schema.
+// AddRow appends a row. The number of values must match the schema. Like
+// every mutation it must not run concurrently with readers of r; it drops
+// the rank codes, which the next sort re-encodes.
 func (r *Relation) AddRow(vals ...Value) error {
 	if len(vals) != len(r.attrs) {
 		return fmt.Errorf("core: row has %d values, schema %v has %d attributes",
@@ -69,6 +80,11 @@ func (r *Relation) AddRow(vals ...Value) error {
 	row := make([]Value, len(vals))
 	copy(row, vals)
 	r.rows = append(r.rows, row)
+	for c := range r.codes {
+		if r.codes[c].Load() != nil {
+			r.codes[c].Store(nil)
+		}
+	}
 	return nil
 }
 
@@ -169,30 +185,14 @@ func (r *Relation) EqOn(i, j int, x List) (bool, error) {
 }
 
 // SortedIndexOn returns the row indices of r ordered by ≼X. The sort is
-// stable, so rows tied on X keep their relative order.
+// stable, so rows tied on X keep their relative order. It runs as a radix
+// sort over the columns' rank codes.
 func (r *Relation) SortedIndexOn(x List) ([]int, error) {
-	cols := make([]int, len(x))
-	for i, a := range x {
-		c, err := r.Col(a)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = c
+	cols, err := r.ranks(x, nil)
+	if err != nil {
+		return nil, err
 	}
-	idx := make([]int, len(r.rows))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ra, rb := r.rows[idx[a]], r.rows[idx[b]]
-		for _, c := range cols {
-			if cmp := ra[c].Compare(rb[c]); cmp != 0 {
-				return cmp < 0
-			}
-		}
-		return false
-	})
-	return idx, nil
+	return radixSort(len(r.rows), cols), nil
 }
 
 // String renders the relation as a small aligned table for test output.

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -19,7 +21,10 @@ const (
 
 // Value is a typed cell value. Values of different kinds compare by kind
 // order, so relations with heterogeneous columns still have a total order;
-// well-typed tables never rely on that.
+// well-typed tables never rely on that. Ints and floats compare with one
+// another exactly, as the numbers they denote; NaN equals NaN and sorts
+// below every other number. Compare is therefore a total preorder, which
+// the sort-based satisfaction check and the rank codes rely on.
 type Value struct {
 	Kind Kind
 	Int  int64
@@ -44,10 +49,10 @@ func (v Value) Compare(w Value) int {
 	if v.Kind != w.Kind {
 		// Numeric kinds compare with one another; otherwise kind order.
 		if v.Kind == KindInt && w.Kind == KindFloat {
-			return cmpFloat(float64(v.Int), w.F)
+			return cmpIntFloat(v.Int, w.F)
 		}
 		if v.Kind == KindFloat && w.Kind == KindInt {
-			return cmpFloat(v.F, float64(w.Int))
+			return -cmpIntFloat(w.Int, v.F)
 		}
 		if v.Kind < w.Kind {
 			return -1
@@ -58,34 +63,33 @@ func (v Value) Compare(w Value) int {
 	case KindNull:
 		return 0
 	case KindInt:
-		switch {
-		case v.Int < w.Int:
-			return -1
-		case v.Int > w.Int:
-			return 1
-		}
-		return 0
+		return cmp.Compare(v.Int, w.Int)
 	case KindFloat:
-		return cmpFloat(v.F, w.F)
+		// cmp.Compare puts NaN below every other float and equal to NaN.
+		return cmp.Compare(v.F, w.F)
 	default:
-		switch {
-		case v.Str < w.Str:
-			return -1
-		case v.Str > w.Str:
-			return 1
-		}
-		return 0
+		return cmp.Compare(v.Str, w.Str)
 	}
 }
 
-func cmpFloat(a, b float64) int {
+// cmpIntFloat compares an integer with a float exactly. Converting the
+// integer to float64 would round past 2^53 and make Int(2^53) and
+// Int(2^53+1) both equal Float(2^53), breaking transitivity.
+func cmpIntFloat(i int64, f float64) int {
 	switch {
-	case a < b:
+	case math.IsNaN(f):
+		return 1
+	case f >= 0x1p63:
 		return -1
-	case a > b:
+	case f < -0x1p63:
 		return 1
 	}
-	return 0
+	// f is within int64 range, so its integer part converts exactly.
+	t := math.Trunc(f)
+	if c := cmp.Compare(i, int64(t)); c != 0 {
+		return c
+	}
+	return cmp.Compare(t, f) // i is f's integer part: the fraction decides
 }
 
 // Equal reports whether v and w compare equal.

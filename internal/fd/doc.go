@@ -9,4 +9,8 @@
 // "split" half of an OD implication question, and the completeness
 // construction (internal/armstrong) uses closures to build Ullman's two-row
 // split tables (the paper's Figure 7).
+//
+// Closures run the counter-based algorithm of Beeri and Bernstein over dense
+// attribute IDs (Index). Compile interns an FD set once for callers that
+// close many sets under it; Closure and Implies compile per call.
 package fd

@@ -38,34 +38,100 @@ func FromODs(ods []core.OD) []FD {
 	return out
 }
 
-// Closure computes the attribute-set closure attrs⁺ under the given FDs: the
-// largest set of attributes functionally determined by attrs. It runs the
-// standard fixpoint algorithm.
-func Closure(attrs core.AttrSet, fds []FD) core.AttrSet {
-	closure := attrs.Clone()
-	applied := make([]bool, len(fds))
-	for changed := true; changed; {
-		changed = false
-		for i, f := range fds {
-			if applied[i] || !f.LHS.SubsetOf(closure) {
-				continue
+// Compiled is an FD set interned to dense attribute IDs and compiled to an
+// Index once, so repeated closures and implication tests over the same set
+// pay only for the closure itself. It is immutable and safe for concurrent
+// use.
+type Compiled struct {
+	ids   map[core.Attribute]int32
+	names []core.Attribute
+	index *Index
+}
+
+// Compile interns the attributes of fds and compiles the set for repeated
+// closures.
+func Compile(fds []FD) *Compiled {
+	total := 0
+	for _, f := range fds {
+		total += len(f.LHS) + len(f.RHS)
+	}
+	c := &Compiled{ids: make(map[core.Attribute]int32, total)}
+	flat := make([]int32, 0, total)
+	side := func(s core.AttrSet) []int32 {
+		start := len(flat)
+		for a := range s {
+			i, ok := c.ids[a]
+			if !ok {
+				i = int32(len(c.names))
+				c.ids[a] = i
+				c.names = append(c.names, a)
 			}
-			applied[i] = true
-			for a := range f.RHS {
-				if !closure.Contains(a) {
-					closure.Add(a)
-					changed = true
-				}
-			}
+			flat = append(flat, i)
+		}
+		return flat[start:len(flat):len(flat)]
+	}
+	dense := make([]DenseFD, len(fds))
+	for i, f := range fds {
+		dense[i] = DenseFD{LHS: side(f.LHS), RHS: side(f.RHS)}
+	}
+	c.index = NewIndex(len(c.names), dense)
+	return c
+}
+
+// closure returns the closure of attrs over the interned IDs. Attributes no
+// FD mentions determine nothing, so they are left out of the seed.
+func (c *Compiled) closure(attrs core.AttrSet) Bits {
+	seed := NewBits(len(c.names))
+	for a := range attrs {
+		if i, ok := c.ids[a]; ok {
+			seed.Set(i)
 		}
 	}
-	return closure
+	return c.index.Closure(seed)
+}
+
+// Closure computes the attribute-set closure attrs⁺: the largest set of
+// attributes functionally determined by attrs.
+func (c *Compiled) Closure(attrs core.AttrSet) core.AttrSet {
+	out := attrs.Clone()
+	cl := c.closure(attrs)
+	for i, a := range c.names {
+		if cl.Has(int32(i)) {
+			out.Add(a)
+		}
+	}
+	return out
+}
+
+// Implies reports whether the set logically implies f, by the closure test
+// f.RHS ⊆ f.LHS⁺.
+func (c *Compiled) Implies(f FD) bool {
+	if f.RHS.SubsetOf(f.LHS) {
+		return true
+	}
+	cl := c.closure(f.LHS)
+	for a := range f.RHS {
+		if f.LHS.Contains(a) {
+			continue
+		}
+		if i, ok := c.ids[a]; !ok || !cl.Has(i) {
+			return false
+		}
+	}
+	return true
+}
+
+// Closure computes the attribute-set closure attrs⁺ under the given FDs: the
+// largest set of attributes functionally determined by attrs. Callers that
+// close many sets under one FD set should Compile it once instead.
+func Closure(attrs core.AttrSet, fds []FD) core.AttrSet {
+	return Compile(fds).Closure(attrs)
 }
 
 // Implies reports whether the FD set logically implies f, by the closure
 // test f.RHS ⊆ f.LHS⁺.
 func Implies(fds []FD, f FD) bool {
-	return f.RHS.SubsetOf(Closure(f.LHS, fds))
+	return Compile(fds).Implies(f)
 }
 
 // ImpliesOD reports whether the FDs imply the FD corresponding to an OD,

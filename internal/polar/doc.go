@@ -9,8 +9,9 @@
 // unpolarized theory lifts, and this package reuses the unpolarized kernels
 // rather than copying them:
 //
-//   - Satisfies rewrites the mentioned columns as integer ranks, negated on
-//     descending attributes, and runs core's sort-and-scan check on them.
+//   - Satisfies runs core's sort-and-scan check (Relation.SatisfiesDirected),
+//     which reads the relation's rank codes in reverse on descending
+//     attributes.
 //   - Prover compiles each attribute to a directed prover.Term (Dir Less for
 //     descending) and calls prover.Counterexample, the same sign-pattern
 //     search that decides plain ODs. Two-tuple locality survives

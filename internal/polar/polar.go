@@ -2,7 +2,6 @@ package polar
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"odlib/internal/core"
@@ -163,55 +162,24 @@ func (od OD) String() string { return od.LHS.String() + " -> " + od.RHS.String()
 // flipped dependency holds exactly when the original does.
 func (od OD) Flip() OD { return OD{LHS: od.LHS.Flip(), RHS: od.RHS.Flip()} }
 
-// Satisfies checks r ⊨ od. It copies the mentioned columns as integer
-// ranks — order-preserving, negated for descending attributes — so that the
-// polarized comparison becomes the plain one, and runs core's sort-and-scan
-// check on the copy.
+// Satisfies checks r ⊨ od with core's sort-and-scan check, which compares
+// a descending attribute's rank codes in reverse.
 func Satisfies(r *core.Relation, od OD) (bool, error) {
-	var cols List // the distinct direction-annotated attributes; cols[i] becomes column "i"
-	pos := make(map[Attr]int)
+	split := func(l List) (core.List, []core.Sign) {
+		names, dirs := make(core.List, len(l)), make([]core.Sign, len(l))
+		for i, a := range l {
+			names[i], dirs[i] = a.Name, core.Sign(a.Dir)
+		}
+		return names, dirs
+	}
 	for _, a := range od.LHS.Concat(od.RHS) {
 		if !r.HasAttr(a.Name) {
 			return false, fmt.Errorf("polar: attribute %s not in schema %v", a.Name, r.Attrs())
 		}
-		if _, ok := pos[a]; !ok {
-			pos[a] = len(cols)
-			cols = append(cols, a)
-		}
 	}
-	rename := func(l List) core.List {
-		out := make(core.List, len(l))
-		for i, a := range l {
-			out[i] = core.Attribute(strconv.Itoa(pos[a]))
-		}
-		return out
-	}
-	ranks := make([][]int64, r.Len())
-	for i := range ranks {
-		ranks[i] = make([]int64, len(cols))
-	}
-	for c, a := range cols {
-		x := core.List{a.Name}
-		idx, err := r.SortedIndexOn(x)
-		if err != nil {
-			return false, err
-		}
-		var rank int64
-		for k := 1; k < len(idx); k++ {
-			if cmp, _ := r.CompareOn(idx[k-1], idx[k], x); cmp != 0 {
-				rank++
-			}
-			ranks[idx[k]][c] = rank * int64(a.Dir)
-		}
-	}
-	rel := core.MustRelation(rename(cols))
-	for _, row := range ranks {
-		if err := rel.AddIntRow(row...); err != nil {
-			return false, err
-		}
-	}
-	ok, _, err := rel.Satisfies(core.NewOD(rename(od.LHS), rename(od.RHS)))
-	return ok, err
+	lhs, lhsDir := split(od.LHS)
+	rhs, rhsDir := split(od.RHS)
+	return r.SatisfiesDirected(lhs, lhsDir, rhs, rhsDir)
 }
 
 // ParseList parses "[A, -B]" (brackets optional): "-" marks descending.

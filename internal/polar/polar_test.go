@@ -352,7 +352,7 @@ func randPolarList(rng *rand.Rand, universe core.List, maxLen int) List {
 	return out
 }
 
-// TestSatisfiesAgreesWithPairwise checks the rank-copy satisfaction check
+// TestSatisfiesAgreesWithPairwise checks the directed satisfaction check
 // against the pairwise oracle on random relations with many ties, mixed
 // directions and mixed value kinds (nulls, ints, floats, strings).
 func TestSatisfiesAgreesWithPairwise(t *testing.T) {

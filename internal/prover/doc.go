@@ -37,8 +37,15 @@
 // ascending lists. The shortcut reasons through the FD projection
 // set(X) → set(Y), which misses what mixed directions force:
 // {[A] ↦ [B], [A] ↦ [-B]} makes B constant, yet A → B does not imply
-// ∅ → B. Widening validates candidates with core.Pattern.HoldsOD, which reads
-// every list ascending.
+// ∅ → B. Widening validates a candidate against every OD of M with the
+// compiled holds over a sign slice indexed by universe ID, and New compiles
+// M's ODs with every term ascending.
+//
+// New interns M's universe once: the sorted attributes get dense IDs, every
+// OD becomes Terms over those IDs, and M's FDs become an fd.Index, whose
+// counter-based closure answers the split test. A decide then keeps its
+// working attribute set as an fd.Bits bitset, maps IDs to search positions
+// through a slice, and builds a core.Pattern only for a witness it returns.
 //
 // Searches accept a context.Context and may be cancelled mid-enumeration;
 // with WithWorkers the sign-enumeration tree is split across a goroutine

@@ -108,19 +108,21 @@ func (s *searchState) search(signs []core.Sign, k int, seenLess bool) bool {
 	return false
 }
 
-// runSearch finds a pattern over pat's universe satisfying every OD of cods
-// while falsifying target, or reports that none exists. It dispatches to the
-// parallel pool when the prover is configured for one and the universe is
-// large enough to pay for it. The returned node count covers all workers.
-func (p *Prover) runSearch(ctx context.Context, pat *core.Pattern, cods []Compiled, target Compiled) (*core.Pattern, uint64, error) {
-	if p.workers > 1 && len(pat.Signs()) >= parallelMinAttrs {
-		return p.searchParallel(ctx, pat, cods, target)
+// runSearch finds a sign assignment over signs' positions satisfying every
+// OD of cods while falsifying target, or reports that none exists (nil). It
+// dispatches to the parallel pool when the prover is configured for one and
+// the universe is large enough to pay for it. signs must be all Equal; the
+// sequential search uses it as scratch. The returned node count covers all
+// workers.
+func (p *Prover) runSearch(ctx context.Context, signs []core.Sign, cods []Compiled, target Compiled) ([]core.Sign, uint64, error) {
+	if p.workers > 1 && len(signs) >= parallelMinAttrs {
+		return p.searchParallel(ctx, len(signs), cods, target)
 	}
-	found, nodes, err := searchSequential(ctx, pat.Signs(), cods, target)
+	found, nodes, err := searchSequential(ctx, signs, cods, target)
 	if !found {
-		pat = nil
+		signs = nil
 	}
-	return pat, nodes, err
+	return signs, nodes, err
 }
 
 // searchSequential is the single-goroutine enumeration. On success the
@@ -222,8 +224,8 @@ func (s *searchState) searchBlock(signs []core.Sign, block []prefixAssign) bool 
 // counterexample publishes it and raises the stop flag; everyone else
 // unwinds within one poll interval. Context cancellation stops the pool the
 // same way, surfacing the context's error.
-func (p *Prover) searchParallel(ctx context.Context, pat *core.Pattern, cods []Compiled, target Compiled) (*core.Pattern, uint64, error) {
-	prefixes := enumeratePrefixes(len(pat.Signs()), p.workers)
+func (p *Prover) searchParallel(ctx context.Context, n int, cods []Compiled, target Compiled) ([]core.Sign, uint64, error) {
+	prefixes := enumeratePrefixes(n, p.workers)
 	want := p.workers
 	if want > len(prefixes) {
 		want = len(prefixes)
@@ -239,20 +241,20 @@ func (p *Prover) searchParallel(ctx context.Context, pat *core.Pattern, cods []C
 		stop       atomic.Bool
 		totalNodes atomic.Uint64
 		mu         sync.Mutex
-		found      *core.Pattern
+		found      []core.Sign
 		ctxErr     error
 		wg         sync.WaitGroup
 	)
 	runBlock := func(block []prefixAssign) {
-		wpat := core.MustPattern(pat.Universe())
+		signs := make([]core.Sign, n)
 		s := &searchState{ctx: ctx, cods: cods, target: target}
 		if parts > 1 {
 			s.stop = &stop
 		}
-		if s.searchBlock(wpat.Signs(), block) {
+		if s.searchBlock(signs, block) {
 			mu.Lock()
 			if found == nil {
-				found = wpat
+				found = signs
 			}
 			mu.Unlock()
 			stop.Store(true)

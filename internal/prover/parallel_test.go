@@ -172,7 +172,7 @@ func TestParallelDeepSwap(t *testing.T) {
 
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	found, nodes, err := par.searchParallel(cancelled, pat, cods, tgt)
+	found, nodes, err := par.searchParallel(cancelled, len(pat.Signs()), cods, tgt)
 	if !errors.Is(err, context.Canceled) || found != nil {
 		t.Fatalf("cancelled pool: found=%v err=%v, want context.Canceled", found, err)
 	}

@@ -1,8 +1,11 @@
 package prover
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"odlib/internal/core"
@@ -92,10 +95,17 @@ func (c *Counters) Snapshot() CounterStats {
 // state is the verdict cache. A Prover is therefore safe for concurrent use
 // exactly when its verdict cache is: the default map cache is not, a cache
 // injected via WithCache may be.
+//
+// New interns M's universe once: attribute i of the sorted universe gets the
+// dense ID i, every OD of M is compiled to Terms over those IDs, and M's FDs
+// to an fd.Index. Deciding then works on ID-indexed slices and bitsets; the
+// only attribute-name work left per question is interning the question.
 type Prover struct {
 	ods      []core.OD
-	fds      []fd.FD
-	universe core.List
+	universe core.List // M's attributes, sorted; universe[id] names ID id
+	ids      map[core.Attribute]int32
+	terms    []Compiled // ods[i] over universe IDs
+	fds      *fd.Index  // set(X) → set(Y) for every X ↦ Y of M
 	maxAttrs int
 	workers  int
 	pool     *Pool
@@ -160,10 +170,51 @@ func WithPool(pool *Pool) Option {
 func New(m []core.OD, opts ...Option) *Prover {
 	ods := make([]core.OD, len(m))
 	copy(ods, m)
+	ids := make(map[core.Attribute]int32)
+	var universe core.List
+	total := 0
+	for _, od := range ods {
+		total += len(od.LHS) + len(od.RHS)
+		for _, l := range [2]core.List{od.LHS, od.RHS} {
+			for _, a := range l {
+				if _, ok := ids[a]; !ok {
+					ids[a] = 0
+					universe = append(universe, a)
+				}
+			}
+		}
+	}
+	slices.Sort(universe)
+	for i, a := range universe {
+		ids[a] = int32(i)
+	}
+	// All terms and FD sides share two flat buffers.
+	termBuf := make([]Term, 0, total)
+	idBuf := make([]int32, 0, total)
+	terms := make([]Compiled, len(ods))
+	dense := make([]fd.DenseFD, len(ods))
+	side := func(l core.List) ([]Term, []int32) {
+		start := len(termBuf)
+		for _, a := range l {
+			id := ids[a]
+			termBuf = append(termBuf, Term{Idx: id, Dir: core.Greater})
+			idBuf = append(idBuf, id)
+		}
+		end := len(termBuf)
+		return termBuf[start:end:end], idBuf[start:end:end]
+	}
+	for i, od := range ods {
+		lt, lid := side(od.LHS)
+		rt, rid := side(od.RHS)
+		terms[i] = Compiled{LHS: lt, RHS: rt}
+		dense[i] = fd.DenseFD{LHS: lid, RHS: rid}
+	}
 	p := &Prover{
 		ods:      ods,
-		fds:      fd.FromODs(ods),
-		universe: core.AttrsOf(ods).Sorted(),
+		universe: universe,
+		ids:      ids,
+		terms:    terms,
+		fds:      fd.NewIndex(len(universe), dense),
 		maxAttrs: DefaultMaxAttrs,
 		workers:  1,
 		cache:    make(mapCache),
@@ -266,13 +317,34 @@ func (p *Prover) decide(ctx context.Context, od core.OD) (Verdict, error) {
 		return Verdict{Implied: implied, Witness: w, Cost: max(cost, 1)}
 	}
 
-	working := make([]core.OD, 0, 4)
-	inWorking := make([]bool, len(p.ods))
+	q := p.internQuestion(od)
+	width := len(p.universe) + len(q.extras)
+	// attrs holds the IDs of the search universe: the question's attributes
+	// and those of every working OD.
+	words := (width + 63) / 64
+	sets := make(fd.Bits, 3*words)
+	attrs, lhs, rhs := sets[:words:words], sets[words:2*words:2*words], sets[2*words:]
+	for _, t := range q.od.LHS {
+		attrs.Set(t.Idx)
+		lhs.Set(t.Idx)
+	}
+	for _, t := range q.od.RHS {
+		attrs.Set(t.Idx)
+		rhs.Set(t.Idx)
+	}
 
 	// The split-half test (Theorem 15) is loop-invariant: the FD closure
 	// depends only on the question and M's FDs, not on the working set.
-	closure := fd.Closure(od.LHS.Set(), p.fds)
-	splitRefuted := !od.RHS.Set().SubsetOf(closure)
+	closure := p.fds.Closure(lhs)
+	splitRefuted := !rhs.SubsetOf(closure)
+
+	working := make([]int32, 0, 4) // indexes into p.ods, in widening order
+	inWorking := make([]bool, len(p.ods))
+	// global holds a candidate's signs by universe ID, Equal off the search
+	// universe, so widening validates every OD of M with compiled holds.
+	global := make([]core.Sign, width)
+	pos := make([]int32, width) // search position of each local ID
+	var local []int32
 
 	for {
 		if err := ctx.Err(); err != nil {
@@ -281,22 +353,38 @@ func (p *Prover) decide(ctx context.Context, od core.OD) (Verdict, error) {
 			}
 			return Verdict{}, err
 		}
-		attrs := core.AttrsOf(working).Union(od.Attrs()).Sorted()
-		if len(attrs) > p.maxAttrs {
+		if n := attrs.Count(); n > p.maxAttrs {
 			return Verdict{}, fmt.Errorf(
 				"prover: question needs %d entangled attributes, exceeding the limit of %d (raise with WithMaxAttrs)",
-				len(attrs), p.maxAttrs)
+				n, p.maxAttrs)
+		}
+		local = p.localOrder(local[:0], attrs, q.extras)
+		for i, id := range local {
+			pos[id] = int32(i)
 		}
 
 		// widen moves the first OD of M rejecting the candidate into the
 		// working set. Such an OD cannot already be in the working set: the
 		// candidate was constructed to satisfy every working OD.
-		widen := func(w *core.Pattern) bool {
-			for i, m := range p.ods {
+		widen := func(signs []core.Sign) bool {
+			for i, id := range local {
+				global[id] = signs[i]
+			}
+			defer func() {
+				for _, id := range local {
+					global[id] = core.Equal
+				}
+			}()
+			for i := range p.terms {
 				explored++
-				if !inWorking[i] && !w.HoldsOD(m) {
+				if !inWorking[i] && !p.terms[i].holds(global) {
 					inWorking[i] = true
-					working = append(working, m)
+					working = append(working, int32(i))
+					for _, l := range [2][]Term{p.terms[i].LHS, p.terms[i].RHS} {
+						for _, t := range l {
+							attrs.Set(t.Idx)
+						}
+					}
 					if p.counters != nil {
 						p.counters.Widenings.Add(1)
 					}
@@ -312,30 +400,32 @@ func (p *Prover) decide(ctx context.Context, od core.OD) (Verdict, error) {
 		// counterexample that needs no search. The closure ran over all of
 		// M's FDs, so no working OD can reject the table; one entirely
 		// outside the universe may, and triggers widening.
+		signs := make([]core.Sign, len(local))
 		if splitRefuted {
-			w := core.MustPattern(attrs)
-			for _, a := range attrs {
-				if !closure.Contains(a) {
-					if err := w.SetSign(a, core.Less); err != nil {
-						return Verdict{}, err
-					}
+			for i, id := range local {
+				if !closure.Has(id) {
+					signs[i] = core.Less
 				}
 			}
-			if widen(w) {
+			if widen(signs) {
 				continue
 			}
-			return verdict(false, p.expandWitness(w, od), len(attrs)), nil
+			return verdict(false, p.witness(signs, local, q.extras), len(local)), nil
 		}
 
 		// Swap half: exhaustive two-row pattern search against the working
 		// set — parallel across prefix-sharded subtrees when configured.
-		pat := core.MustPattern(attrs)
-		cods := make([]Compiled, 0, len(working)+1)
-		for _, m := range working {
-			cods = append(cods, compileOD(m, pat))
+		n := len(q.od.LHS) + len(q.od.RHS)
+		for _, i := range working {
+			n += len(p.terms[i].LHS) + len(p.terms[i].RHS)
 		}
-		target := compileOD(od, pat)
-		found, nodes, err := p.runSearch(ctx, pat, cods, target)
+		buf := make([]Term, 0, n)
+		cods := make([]Compiled, len(working))
+		for k, i := range working {
+			buf, cods[k] = p.terms[i].remapInto(buf, pos)
+		}
+		_, target := q.od.remapInto(buf, pos)
+		found, nodes, err := p.runSearch(ctx, signs, cods, target)
 		explored += nodes
 		if err != nil {
 			if p.counters != nil {
@@ -344,33 +434,97 @@ func (p *Prover) decide(ctx context.Context, od core.OD) (Verdict, error) {
 			return Verdict{}, err
 		}
 		if found == nil {
-			return verdict(true, nil, len(attrs)), nil
+			return verdict(true, nil, len(local)), nil
 		}
 		if widen(found) {
 			continue
 		}
-		return verdict(false, p.expandWitness(found, od), len(attrs)), nil
+		return verdict(false, p.witness(found, local, q.extras), len(local)), nil
 	}
 }
 
-// expandWitness lifts a validated counterexample onto the full universe of
-// M and the question, filling the attributes the restricted search never
-// assigned with Equal — the extension under which the candidate was
-// validated. Callers that realize the witness as a relation (odprove, the
-// /prove endpoint) then get every mentioned attribute as a column.
-func (p *Prover) expandWitness(w *core.Pattern, od core.OD) *core.Pattern {
-	attrs := core.AttrsOf(p.ods).Union(od.Attrs()).Sorted()
-	out := core.MustPattern(attrs)
-	for _, a := range attrs {
-		if s := w.Sign(a); s != core.Equal {
-			// Attributes can never vanish between the restricted and the
-			// full universe, so SetSign cannot fail.
-			if err := out.SetSign(a, s); err != nil {
+// question is a question compiled over universe IDs. Attributes M never
+// mentions get the IDs after the universe, in order of first appearance.
+type question struct {
+	od     Compiled
+	extras []core.Attribute // extras[k] names ID len(universe)+k
+}
+
+// internQuestion compiles a question over the universe IDs, every term
+// ascending.
+func (p *Prover) internQuestion(od core.OD) question {
+	var q question
+	terms := make([]Term, 0, len(od.LHS)+len(od.RHS))
+	for _, a := range od.LHS {
+		terms = append(terms, Term{Idx: p.id(a, &q.extras), Dir: core.Greater})
+	}
+	for _, a := range od.RHS {
+		terms = append(terms, Term{Idx: p.id(a, &q.extras), Dir: core.Greater})
+	}
+	q.od = Compiled{LHS: terms[:len(od.LHS)], RHS: terms[len(od.LHS):]}
+	return q
+}
+
+// id returns a's universe ID, or an extra ID past the universe for an
+// attribute M never mentions.
+func (p *Prover) id(a core.Attribute, extras *[]core.Attribute) int32 {
+	if id, ok := p.ids[a]; ok {
+		return id
+	}
+	k := slices.Index(*extras, a)
+	if k < 0 {
+		k = len(*extras)
+		*extras = append(*extras, a)
+	}
+	return int32(len(p.universe) + k)
+}
+
+// name returns the attribute an ID stands for.
+func (p *Prover) name(id int32, extras []core.Attribute) core.Attribute {
+	if int(id) < len(p.universe) {
+		return p.universe[id]
+	}
+	return extras[int(id)-len(p.universe)]
+}
+
+// localOrder appends the IDs of attrs to dst in attribute-name order: the
+// order of the search's sign positions. Universe IDs already ascend by
+// name; extra IDs, if any, are merged in by name.
+func (p *Prover) localOrder(dst []int32, attrs fd.Bits, extras []core.Attribute) []int32 {
+	for w, word := range attrs {
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, int32(w<<6+bits.TrailingZeros64(word)))
+		}
+	}
+	if len(extras) > 0 {
+		slices.SortFunc(dst, func(a, b int32) int { return cmp.Compare(p.name(a, extras), p.name(b, extras)) })
+	}
+	return dst
+}
+
+// witness lifts a validated counterexample, given as signs over the local
+// IDs, onto the full universe of M and the question, filling the attributes
+// the restricted search never assigned with Equal — the extension under
+// which the candidate was validated. Callers that realize the witness as a
+// relation (odprove, the /prove endpoint) then get every mentioned
+// attribute as a column.
+func (p *Prover) witness(signs []core.Sign, local []int32, extras []core.Attribute) *core.Pattern {
+	full := p.universe
+	if len(extras) > 0 {
+		full = append(slices.Clone(p.universe), extras...)
+		slices.Sort(full)
+	}
+	w := core.MustPattern(full)
+	for i, id := range local {
+		if signs[i] != core.Equal {
+			// Every local attribute is in the full universe, so SetSign
+			// cannot fail.
+			if err := w.SetSign(p.name(id, extras), signs[i]); err != nil {
 				panic(err)
 			}
 		}
 	}
-	return out
+	return w
 }
 
 // ImpliesAll reports whether M implies every OD of the slice.
@@ -445,15 +599,19 @@ type Compiled struct {
 	LHS, RHS []Term
 }
 
-func compileOD(od core.OD, pat *core.Pattern) Compiled {
-	terms := func(l core.List) []Term {
-		out := make([]Term, 0, len(l))
-		for _, a := range l {
-			out = append(out, Term{Idx: int32(pat.Universe().Index(a)), Dir: core.Greater})
-		}
-		return out
+// remapInto appends the OD's terms to buf with every index sent through
+// pos, and returns the extended buffer and the remapped OD.
+func (c Compiled) remapInto(buf []Term, pos []int32) ([]Term, Compiled) {
+	start := len(buf)
+	for _, t := range c.LHS {
+		buf = append(buf, Term{Idx: pos[t.Idx], Dir: t.Dir})
 	}
-	return Compiled{LHS: terms(od.LHS), RHS: terms(od.RHS)}
+	mid := len(buf)
+	for _, t := range c.RHS {
+		buf = append(buf, Term{Idx: pos[t.Idx], Dir: t.Dir})
+	}
+	end := len(buf)
+	return buf, Compiled{LHS: buf[start:mid:mid], RHS: buf[mid:end:end]}
 }
 
 // cmpSigns compares the pattern's two rows along a compiled list: the first

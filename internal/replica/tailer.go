@@ -41,8 +41,9 @@ type Options struct {
 	Router *router.Router
 	// PollInterval is the metadata poll cadence; 0 = DefaultPollInterval.
 	PollInterval time.Duration
-	// Client issues the HTTP requests; nil uses a fresh http.Client. Tests
-	// inject fault transports (torn bodies, dropped connections) here.
+	// Client issues the HTTP requests; nil uses a client with its own
+	// transport. Tests inject fault transports (torn bodies, dropped
+	// connections) here.
 	Client *http.Client
 	// MaxFetchBytes bounds one segment fetch; 0 = DefaultMaxFetchBytes.
 	MaxFetchBytes int64
@@ -80,7 +81,13 @@ func New(opt Options) (*Tailer, error) {
 		opt.MaxFetchBytes = DefaultMaxFetchBytes
 	}
 	if opt.Client == nil {
-		opt.Client = &http.Client{}
+		// A private transport, not http.DefaultTransport: the tailer's
+		// requests are sequential, so it never dials a connection it does
+		// not use. On a shared transport, a concurrent request to the
+		// leader can take the tailer's freed connection while its own dial
+		// completes; the spare connection then idles at the leader without
+		// a request, and the leader's graceful shutdown waits on it.
+		opt.Client = &http.Client{Transport: http.DefaultTransport.(*http.Transport).Clone()}
 	}
 	return &Tailer{opt: opt, stop: make(chan struct{}), done: make(chan struct{})}, nil
 }

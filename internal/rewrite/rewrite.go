@@ -3,6 +3,7 @@ package rewrite
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"odlib/internal/core"
 	"odlib/internal/fd"
@@ -17,12 +18,14 @@ import (
 // A Constraints value is safe for concurrent use once its prover has been
 // materialized (call Prover once, or install one via UseProver) and that
 // prover itself is concurrency-safe; the lazy first build is not locked.
+// FDs is compiled for closure tests on first use and must not change after.
 type Constraints struct {
 	FDs []fd.FD
 	ODs []core.OD
 
-	prov   *prover.Prover
-	oracle Oracle
+	prov     *prover.Prover
+	oracle   Oracle
+	compiled atomic.Pointer[fd.Compiled] // FDs, once compiled
 }
 
 // Oracle answers the implication questions a reduction asks. The rewriter
@@ -76,6 +79,17 @@ func (c *Constraints) Prover() *prover.Prover {
 	return c.prov
 }
 
+// fdSet returns c.FDs compiled for closure tests, compiling them on first
+// use. Concurrent first uses may each compile; the results are equal.
+func (c *Constraints) fdSet() *fd.Compiled {
+	if x := c.compiled.Load(); x != nil {
+		return x
+	}
+	x := fd.Compile(c.FDs)
+	c.compiled.Store(x)
+	return x
+}
+
 // ordersBy reports whether the declared ODs imply X ↦ Y. Cancelling ctx
 // aborts the underlying implication search.
 func (c *Constraints) ordersBy(ctx context.Context, x, y core.List) (bool, error) {
@@ -114,7 +128,7 @@ func ReduceOrderFD(order core.List, c *Constraints) Result {
 	for i := len(res.Reduced) - 1; i >= 0; i-- {
 		a := res.Reduced[i]
 		prefix := res.Reduced.Prefix(i)
-		if fd.Implies(c.FDs, fd.FD{LHS: prefix.Set(), RHS: core.NewAttrSet(a)}) {
+		if c.fdSet().Implies(fd.FD{LHS: prefix.Set(), RHS: core.NewAttrSet(a)}) {
 			res.Steps = append(res.Steps, Step{Seg: core.List{a}, Pos: i, Rule: "fd-eliminate", By: prefix.Clone()})
 			res.Reduced = res.Reduced.Prefix(i).Concat(res.Reduced.Suffix(i + 1))
 		}
@@ -139,7 +153,7 @@ func ReduceOrderCtx(ctx context.Context, order core.List, c *Constraints) (Resul
 		for i := len(res.Reduced) - 1; i >= 0 && !changed; i-- {
 			a := res.Reduced[i]
 			prefix := res.Reduced.Prefix(i)
-			if fd.Implies(c.FDs, fd.FD{LHS: prefix.Set(), RHS: core.NewAttrSet(a)}) {
+			if c.fdSet().Implies(fd.FD{LHS: prefix.Set(), RHS: core.NewAttrSet(a)}) {
 				res.Steps = append(res.Steps, Step{Seg: core.List{a}, Pos: i, Rule: "fd-eliminate", By: prefix.Clone()})
 				res.Reduced = prefix.Concat(res.Reduced.Suffix(i + 1))
 				changed = true
@@ -217,7 +231,7 @@ func ReduceGroupBy(group core.List, c *Constraints) Result {
 		for i := len(res.Reduced) - 1; i >= 0; i-- {
 			a := res.Reduced[i]
 			rest := res.Reduced.Prefix(i).Concat(res.Reduced.Suffix(i + 1))
-			if fd.Implies(c.FDs, fd.FD{LHS: rest.Set(), RHS: core.NewAttrSet(a)}) {
+			if c.fdSet().Implies(fd.FD{LHS: rest.Set(), RHS: core.NewAttrSet(a)}) {
 				res.Steps = append(res.Steps, Step{Seg: core.List{a}, Pos: i, Rule: "fd-eliminate", By: rest.Clone()})
 				res.Reduced = rest
 				changed = true
@@ -240,7 +254,7 @@ func GroupBySatisfiedBy(order core.List, group core.List, c *Constraints) (bool,
 	g := group.Set()
 	for i := 0; i <= len(order); i++ {
 		p := order.Prefix(i).Set()
-		if fd.Implies(c.FDs, fd.FD{LHS: p, RHS: g}) && fd.Implies(c.FDs, fd.FD{LHS: g, RHS: p}) {
+		if c.fdSet().Implies(fd.FD{LHS: p, RHS: g}) && c.fdSet().Implies(fd.FD{LHS: g, RHS: p}) {
 			return true, nil
 		}
 	}
